@@ -8,6 +8,7 @@ import (
 	"mrbc/internal/brandes"
 	"mrbc/internal/dgalois"
 	"mrbc/internal/gen"
+	"mrbc/internal/gluon"
 	"mrbc/internal/graph"
 	"mrbc/internal/mrbcdist"
 	"mrbc/internal/partition"
@@ -15,13 +16,14 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Fault-tolerance overhead: cost of the framed ack/retry transport
-// relative to the idealized exchange, fault-free and under a moderate
-// fault plan. Not part of the paper's evaluation; this documents the
-// reliability layer (DESIGN.md §6, "Fault injection"). `bcbench -exp
-// faults` emits the JSON checked in as BENCH_faults.json. Paper-model
-// Bytes/Messages are reported alongside the transport's own retry and
-// framing byte counters to show the two accountings stay separate.
+// Fault-tolerance overhead: cost of the reliable-delivery protocol on
+// the in-process lossy link relative to the idealized exchange,
+// fault-free and under a moderate fault plan. Not part of the paper's
+// evaluation; this documents the reliability layer (DESIGN.md §6,
+// "Fault injection"). `bcbench -exp faults` emits the JSON checked in
+// as BENCH_faults.json. Paper-model Bytes/Messages are reported
+// alongside the transport's own retry and framing byte counters to show
+// the two accountings stay separate.
 // ---------------------------------------------------------------------------
 
 // FaultBenchRow is one (engine, mode) measurement on a fixed input.
@@ -55,8 +57,8 @@ type FaultBenchReport struct {
 // faultBenchPlan is the moderate schedule used by the "faulty" mode:
 // every fault kind active at a few percent, the regime the chaos sweep
 // exercises at up to 20%.
-func faultBenchPlan() *dgalois.FaultPlan {
-	return &dgalois.FaultPlan{
+func faultBenchPlan() *gluon.FaultPlan {
+	return &gluon.FaultPlan{
 		Seed: 2026, Drop: 0.05, Dup: 0.03, Delay: 0.05,
 		Truncate: 0.02, Corrupt: 0.02, Reorder: 0.05, AckDrop: 0.03,
 		MaxDelaySteps: 2,
@@ -64,10 +66,10 @@ func faultBenchPlan() *dgalois.FaultPlan {
 }
 
 // FaultBench measures each engine under three transport modes: raw
-// (nil plan: the idealized exchange), framed (zero-rate plan: seq,
-// checksum, ack machinery active but nothing injected — the pure
-// protocol overhead), and faulty (the moderate plan above — recovery
-// cost included).
+// (MemTransport: the idealized exchange), framed (a lossy link with a
+// nil plan: seq, checksum, ack machinery active but nothing injected —
+// the pure protocol overhead), and faulty (a lossy link under the
+// moderate plan above — recovery cost included).
 func FaultBench(scale Scale) FaultBenchReport {
 	const hosts = 4
 	var g *graph.Graph
@@ -91,18 +93,18 @@ func FaultBench(scale Scale) FaultBenchReport {
 
 	type eng struct {
 		name string
-		run  func(plan *dgalois.FaultPlan) dgalois.Stats
+		run  func(tr gluon.Transport) dgalois.Stats
 	}
 	engs := []eng{
-		{"mrbc-arb", func(plan *dgalois.FaultPlan) dgalois.Stats {
-			_, st, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Fault: plan})
+		{"mrbc-arb", func(tr gluon.Transport) dgalois.Stats {
+			_, st, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Transport: tr})
 			if err != nil {
 				panic(err)
 			}
 			return st
 		}},
-		{"sbbc", func(plan *dgalois.FaultPlan) dgalois.Stats {
-			_, st, err := sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{Fault: plan})
+		{"sbbc", func(tr gluon.Transport) dgalois.Stats {
+			_, st, err := sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{Transport: tr})
 			if err != nil {
 				panic(err)
 			}
@@ -111,20 +113,20 @@ func FaultBench(scale Scale) FaultBenchReport {
 	}
 	modes := []struct {
 		name string
-		plan func() *dgalois.FaultPlan
+		link func() gluon.Transport
 	}{
-		{"raw", func() *dgalois.FaultPlan { return nil }},
-		{"framed", func() *dgalois.FaultPlan { return &dgalois.FaultPlan{Seed: 1} }},
-		{"faulty", faultBenchPlan},
+		{"raw", func() gluon.Transport { return nil }},
+		{"framed", func() gluon.Transport { return gluon.NewLossyTransport(hosts, nil) }},
+		{"faulty", func() gluon.Transport { return gluon.NewLossyTransport(hosts, faultBenchPlan()) }},
 	}
 
 	for _, e := range engs {
 		var rawNs int64
 		for _, m := range modes {
-			stats := e.run(m.plan()) // warm-up + stats capture
+			stats := e.run(m.link()) // warm-up + stats capture
 			res := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					e.run(m.plan())
+					e.run(m.link())
 				}
 			})
 			row := FaultBenchRow{

@@ -1,6 +1,8 @@
 // Package chaostest runs the seeded fault-schedule sweep: every engine
-// that rides on the dgalois/gluon substrate must produce oracle-exact
-// betweenness centrality under every recoverable fault schedule, and
+// that rides on the dgalois/gluon substrate, run over the in-process
+// lossy link (gluon.LossyTransport), must produce betweenness
+// centrality bitwise equal to its perfect-network run (and within 1e-9
+// of the Brandes oracle) under every recoverable fault schedule, and
 // must terminate with a structured error (never hang) under an
 // unrecoverable one. A failing case prints its seed so the exact
 // schedule can be replayed with a one-line test filter.
@@ -21,7 +23,6 @@ import (
 	"mrbc/internal/obs"
 	"mrbc/internal/partition"
 	"mrbc/internal/sbbc"
-	"mrbc/internal/vprog"
 )
 
 const (
@@ -42,27 +43,51 @@ func approxEqual(a, b []float64, tol float64) bool {
 	return true
 }
 
-// engine is one BC implementation under test, wrapped to a common shape.
+// bitwiseEqual reports whether two score vectors are identical bit for
+// bit.
+func bitwiseEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// lossy returns the in-process lossy link for the partitioning under
+// the plan, or nil (the perfect-network MemTransport) for a nil plan.
+func lossy(pt *partition.Partitioning, plan *gluon.FaultPlan) gluon.Transport {
+	if plan == nil {
+		return nil
+	}
+	return gluon.NewLossyTransport(pt.NumHosts, plan)
+}
+
+// engine is one BC implementation under test, wrapped to a common
+// shape; a nil plan runs it on the perfect network.
 type engine struct {
 	name string
-	run  func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *dgalois.FaultPlan) ([]float64, dgalois.Stats, error)
+	run  func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *gluon.FaultPlan) ([]float64, dgalois.Stats, error)
 }
 
 var engines = []engine{
-	{"mrbc-arb", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *dgalois.FaultPlan) ([]float64, dgalois.Stats, error) {
-		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Sync: mrbcdist.ArbitrationSync, Fault: plan})
+	{"mrbc-arb", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *gluon.FaultPlan) ([]float64, dgalois.Stats, error) {
+		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Sync: mrbcdist.ArbitrationSync, Transport: lossy(pt, plan)})
 	}},
-	{"mrbc-cand", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *dgalois.FaultPlan) ([]float64, dgalois.Stats, error) {
-		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Sync: mrbcdist.CandidateSync, Fault: plan})
+	{"mrbc-cand", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *gluon.FaultPlan) ([]float64, dgalois.Stats, error) {
+		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Sync: mrbcdist.CandidateSync, Transport: lossy(pt, plan)})
 	}},
 	// Software-pipelined batches (small batches so the 16-source jobs
-	// really keep two in flight): the reliable transport's retransmission
-	// machinery must compose with the per-batch exchange-ID streams.
-	{"mrbc-arb-pipe2", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *dgalois.FaultPlan) ([]float64, dgalois.Stats, error) {
-		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 4, Sync: mrbcdist.ArbitrationSync, Fault: plan, PipelineDepth: 2})
+	// really keep two in flight): the link's in-order delivery must
+	// compose with detached exchanges whose records interleave.
+	{"mrbc-arb-pipe2", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *gluon.FaultPlan) ([]float64, dgalois.Stats, error) {
+		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 4, Sync: mrbcdist.ArbitrationSync, Transport: lossy(pt, plan), PipelineDepth: 2})
 	}},
-	{"sbbc", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *dgalois.FaultPlan) ([]float64, dgalois.Stats, error) {
-		return sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{Fault: plan})
+	{"sbbc", func(g *graph.Graph, pt *partition.Partitioning, sources []uint32, plan *gluon.FaultPlan) ([]float64, dgalois.Stats, error) {
+		return sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{Transport: lossy(pt, plan)})
 	}},
 }
 
@@ -81,7 +106,11 @@ var hostCounts = []int{2, 4, 8}
 // TestFaultScheduleSweep is the chaos differential test: seeds 0..N-1
 // each derive a random recoverable FaultPlan (rates up to 20%) and are
 // spread round-robin over engine x partition-policy x host-count, so
-// the full sweep covers every cell of the matrix many times over.
+// the full sweep covers every cell of the matrix many times over. Every
+// faulty run must match the same cell's perfect-network run bit for bit
+// (the link delivers every payload exactly once and the cluster unpacks
+// in sender order, whatever the arrival order) as well as the Brandes
+// oracle to 1e-9.
 func TestFaultScheduleSweep(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.RMAT(6, 8, 42),
@@ -102,15 +131,25 @@ func TestFaultScheduleSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = shortSeeds
 	}
+	clean := make(map[[4]int][]float64) // perfect-network scores per cell
 	for seed := 0; seed < seeds; seed++ {
-		eng := engines[seed%len(engines)]
-		pc := cuts[(seed/len(engines))%len(cuts)]
+		ei := seed % len(engines)
+		ci := (seed / len(engines)) % len(cuts)
+		eng, pc := engines[ei], cuts[ci]
 		hosts := hostCounts[(seed/len(engines)/len(cuts))%len(hostCounts)]
 		gi := seed % len(graphs)
 
 		g := graphs[gi]
-		plan := dgalois.RandomPlan(uint64(seed), maxRate, hosts)
 		pt := pc.make(g, hosts)
+		cell := [4]int{ei, ci, hosts, gi}
+		if clean[cell] == nil {
+			want, _, err := eng.run(g, pt, sourceSets[gi], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clean[cell] = want
+		}
+		plan := gluon.RandomPlan(uint64(seed), maxRate, hosts)
 		got, stats, err := eng.run(g, pt, sourceSets[gi], plan)
 		if err != nil {
 			t.Fatalf("seed=%d %s %s hosts=%d: recoverable plan errored: %v",
@@ -118,6 +157,10 @@ func TestFaultScheduleSweep(t *testing.T) {
 		}
 		if !approxEqual(got, oracles[gi], 1e-9) {
 			t.Fatalf("seed=%d %s %s hosts=%d: BC diverged from Brandes oracle",
+				seed, eng.name, pc.name, hosts)
+		}
+		if !bitwiseEqual(got, clean[cell]) {
+			t.Fatalf("seed=%d %s %s hosts=%d: BC not bitwise equal to the perfect-network run",
 				seed, eng.name, pc.name, hosts)
 		}
 		if stats.Faults == nil {
@@ -139,8 +182,8 @@ func TestFaultVolumeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := &dgalois.FaultPlan{Seed: 99, Drop: 0.15, Dup: 0.1, Corrupt: 0.1, AckDrop: 0.1}
-	_, faulty, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Fault: plan})
+	plan := &gluon.FaultPlan{Seed: 99, Drop: 0.15, Dup: 0.1, Corrupt: 0.1, AckDrop: 0.1}
+	_, faulty, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{BatchSize: 8, Transport: lossy(pt, plan)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +204,10 @@ func TestUnrecoverablePlanErrorsNotHangs(t *testing.T) {
 	sources := brandes.FirstKSources(g, 0, 8)
 	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
-			plan := &dgalois.FaultPlan{
+			plan := &gluon.FaultPlan{
 				Seed:          1,
 				DeadlineSteps: 16,
-				Stalls:        []dgalois.Stall{{Host: 1, Exchange: 2, Steps: -1}},
+				Stalls:        []gluon.Stall{{Host: 1, Exchange: 2, Steps: -1}},
 			}
 			pt := partition.EdgeCut(g, 4)
 			done := make(chan error, 1)
@@ -188,53 +231,12 @@ func TestUnrecoverablePlanErrorsNotHangs(t *testing.T) {
 	}
 }
 
-// TestVertexProgramsUnderFaults covers the vprog layer's fault path:
-// BFS distances computed through the faulty transport must match the
-// fault-free run exactly (integer labels, so equality is bitwise).
-func TestVertexProgramsUnderFaults(t *testing.T) {
-	g := gen.RMAT(7, 8, 11)
-	pt := partition.CartesianCut(g, 4)
-	prog := vprog.PushProgram{
-		Init: func(gid uint32) (uint64, bool) {
-			if gid == 0 {
-				return 0, true
-			}
-			return math.MaxUint64, false
-		},
-		Relax:  func(l uint64) uint64 { return l + 1 },
-		Better: func(a, b uint64) bool { return a < b },
-	}
-	want, _, err := vprog.RunPushPlan(g, pt, prog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := 24
-	if testing.Short() {
-		seeds = 6
-	}
-	for seed := 0; seed < seeds; seed++ {
-		plan := dgalois.RandomPlan(uint64(1000+seed), maxRate, pt.NumHosts)
-		got, stats, err := vprog.RunPushPlan(g, pt, prog, plan)
-		if err != nil {
-			t.Fatalf("seed=%d: recoverable plan errored: %v", 1000+seed, err)
-		}
-		for v := range want {
-			if got[v] != want[v] {
-				t.Fatalf("seed=%d: BFS label of vertex %d diverged under faults", 1000+seed, v)
-			}
-		}
-		if stats.Faults == nil {
-			t.Fatalf("seed=%d: no fault accounting", 1000+seed)
-		}
-	}
-}
-
 // TestTraceAccountingOracle cross-checks the trace against the stats:
 // summing a complete phase-level trace's events must reproduce the
 // cluster's Stats exactly — paper-model bytes and messages (from both
 // the sender and receiver side), the per-format encoding mix, and
 // every transport counter — across engines, pinned wire formats, and
-// fault plans.
+// fault plans on the lossy link.
 func TestTraceAccountingOracle(t *testing.T) {
 	g := gen.RMAT(6, 8, 42)
 	sources := brandes.FirstKSources(g, 0, 16)
@@ -242,31 +244,34 @@ func TestTraceAccountingOracle(t *testing.T) {
 	encodings := []gluon.Format{gluon.FormatAuto, gluon.FormatDense, gluon.FormatSparse}
 	type run struct {
 		name string
-		do   func(tr *obs.Trace, enc gluon.Format, plan *dgalois.FaultPlan) (dgalois.Stats, error)
+		do   func(tr *obs.Trace, enc gluon.Format, plan *gluon.FaultPlan) (dgalois.Stats, error)
 	}
 	runs := []run{
-		{"mrbc-arb", func(tr *obs.Trace, enc gluon.Format, plan *dgalois.FaultPlan) (dgalois.Stats, error) {
-			_, s, err := mrbcdist.RunChecked(g, partition.EdgeCut(g, hosts), sources,
-				mrbcdist.Options{BatchSize: 8, Encoding: enc, Fault: plan, Trace: tr})
+		{"mrbc-arb", func(tr *obs.Trace, enc gluon.Format, plan *gluon.FaultPlan) (dgalois.Stats, error) {
+			pt := partition.EdgeCut(g, hosts)
+			_, s, err := mrbcdist.RunChecked(g, pt, sources,
+				mrbcdist.Options{BatchSize: 8, Encoding: enc, Transport: lossy(pt, plan), Trace: tr})
 			return s, err
 		}},
-		{"mrbc-cand", func(tr *obs.Trace, enc gluon.Format, plan *dgalois.FaultPlan) (dgalois.Stats, error) {
-			_, s, err := mrbcdist.RunChecked(g, partition.CartesianCut(g, hosts), sources,
-				mrbcdist.Options{BatchSize: 8, Sync: mrbcdist.CandidateSync, Encoding: enc, Fault: plan, Trace: tr})
+		{"mrbc-cand", func(tr *obs.Trace, enc gluon.Format, plan *gluon.FaultPlan) (dgalois.Stats, error) {
+			pt := partition.CartesianCut(g, hosts)
+			_, s, err := mrbcdist.RunChecked(g, pt, sources,
+				mrbcdist.Options{BatchSize: 8, Sync: mrbcdist.CandidateSync, Encoding: enc, Transport: lossy(pt, plan), Trace: tr})
 			return s, err
 		}},
-		{"sbbc", func(tr *obs.Trace, enc gluon.Format, plan *dgalois.FaultPlan) (dgalois.Stats, error) {
-			_, s, err := sbbc.RunOptsChecked(g, partition.EdgeCut(g, hosts), sources,
-				sbbc.Options{Encoding: enc, Fault: plan, Trace: tr})
+		{"sbbc", func(tr *obs.Trace, enc gluon.Format, plan *gluon.FaultPlan) (dgalois.Stats, error) {
+			pt := partition.EdgeCut(g, hosts)
+			_, s, err := sbbc.RunOptsChecked(g, pt, sources,
+				sbbc.Options{Encoding: enc, Transport: lossy(pt, plan), Trace: tr})
 			return s, err
 		}},
 	}
 	for _, r := range runs {
 		for _, enc := range encodings {
 			for _, seed := range []int{-1, 5} { // -1: perfect network
-				var plan *dgalois.FaultPlan
+				var plan *gluon.FaultPlan
 				if seed >= 0 {
-					plan = dgalois.RandomPlan(uint64(seed), maxRate, hosts)
+					plan = gluon.RandomPlan(uint64(seed), maxRate, hosts)
 				}
 				tr := obs.NewTrace(1<<18, obs.LevelPhase)
 				stats, err := r.do(tr, enc, plan)
@@ -297,7 +302,7 @@ func TestTraceAccountingOracle(t *testing.T) {
 					continue
 				}
 				f := stats.Faults
-				injected := f.Drops + f.Dups + f.Delays + f.Truncations + f.Corruptions + f.Reorders + f.AckDrops
+				injected := f.Injected()
 				if tot.Retries != f.RetryMessages || tot.RetryBytes != f.RetryBytes ||
 					tot.FrameBytes != f.FrameBytes || tot.AckMessages != f.AckMessages ||
 					tot.AckBytes != f.AckBytes || tot.DeliverySteps != f.DeliverySteps ||

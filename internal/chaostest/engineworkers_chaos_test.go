@@ -4,8 +4,8 @@ import (
 	"testing"
 
 	"mrbc/internal/brandes"
-	"mrbc/internal/dgalois"
 	"mrbc/internal/gen"
+	"mrbc/internal/gluon"
 	"mrbc/internal/mrbcdist"
 )
 
@@ -29,10 +29,10 @@ func TestFaultScheduleEngineWorkers(t *testing.T) {
 		sync := []mrbcdist.SyncMode{mrbcdist.ArbitrationSync, mrbcdist.CandidateSync}[seed%2]
 		hosts := []int{2, 4}[(seed/2)%2]
 		pc := cuts[(seed/4)%len(cuts)]
-		plan := dgalois.RandomPlan(uint64(1000+seed), maxRate, hosts)
+		plan := gluon.RandomPlan(uint64(1000+seed), maxRate, hosts)
 		pt := pc.make(g, hosts)
 		got, stats, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{
-			BatchSize: 16, Sync: sync, Fault: plan, EngineWorkers: 4,
+			BatchSize: 16, Sync: sync, Transport: lossy(pt, plan), EngineWorkers: 4,
 		})
 		if err != nil {
 			t.Fatalf("seed=%d sync=%d %s hosts=%d: recoverable plan errored: %v",

@@ -7,6 +7,7 @@ import (
 	"mrbc/internal/dgalois"
 	"mrbc/internal/elastic"
 	"mrbc/internal/gen"
+	"mrbc/internal/gluon"
 	"mrbc/internal/graph"
 	"mrbc/internal/mrbcdist"
 	"mrbc/internal/partition"
@@ -21,13 +22,13 @@ const (
 // elastic supervisor over the in-process engine, checkpointing at
 // every batch boundary.
 func supervisedKillRun(g *graph.Graph, pt *partition.Partitioning, sources []uint32,
-	kills []dgalois.Kill, bus *elastic.Bus) ([]float64, dgalois.Stats, *elastic.Report, error) {
+	kills []gluon.Kill, bus *elastic.Bus) ([]float64, dgalois.Stats, *elastic.Report, error) {
 	sup := &elastic.Supervisor{Sink: elastic.NewMemSink(), Bus: bus, Kills: kills}
-	return sup.Run(func(resume *elastic.Snapshot, armed []dgalois.Kill) ([]float64, dgalois.Stats, error) {
-		plan := &dgalois.FaultPlan{Seed: 1, DeadlineSteps: 16, Kills: armed}
+	return sup.Run(func(resume *elastic.Snapshot, armed []gluon.Kill) ([]float64, dgalois.Stats, error) {
+		plan := &gluon.FaultPlan{Seed: 1, DeadlineSteps: 16, Kills: armed}
 		return mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{
 			BatchSize:  4,
-			Fault:      plan,
+			Transport:  lossy(pt, plan),
 			Checkpoint: sup.Sink,
 			Resume:     resume,
 		})
@@ -90,7 +91,7 @@ func TestHostKillSweep(t *testing.T) {
 		b := cell(gi, ci, hi)
 		hosts := hostsOf[hi]
 
-		kills := dgalois.KillSchedule(uint64(seed), hosts, 1+seed%2)
+		kills := gluon.KillSchedule(uint64(seed), hosts, 1+seed%2)
 		got, stats, rep, err := supervisedKillRun(graphs[gi], b.pt, b.src, kills, nil)
 		if err != nil {
 			t.Fatalf("seed=%d hosts=%d kills=%v: recovery failed: %v", seed, hosts, kills, err)
@@ -133,7 +134,7 @@ func TestHostKillRecoveryIsolatesVolume(t *testing.T) {
 	}
 	// Exchange 30 lands well inside the second half of the run, so at
 	// least one boundary checkpoint precedes the kill.
-	kills := []dgalois.Kill{{Host: 2, Exchange: 30, Step: 3}}
+	kills := []gluon.Kill{{Host: 2, Exchange: 30, Step: 3}}
 	bus := elastic.NewBus()
 	events, cancel := bus.Subscribe("", 64)
 	defer cancel()
@@ -185,8 +186,8 @@ func TestHostKillRecoveryIsolatesVolume(t *testing.T) {
 // of their seed, like every other fault decision.
 func TestKillScheduleIsPure(t *testing.T) {
 	for seed := uint64(0); seed < 32; seed++ {
-		a := dgalois.KillSchedule(seed, 8, 3)
-		b := dgalois.KillSchedule(seed, 8, 3)
+		a := gluon.KillSchedule(seed, 8, 3)
+		b := gluon.KillSchedule(seed, 8, 3)
 		if len(a) != 3 || len(b) != 3 {
 			t.Fatalf("seed=%d: wrong schedule length", seed)
 		}

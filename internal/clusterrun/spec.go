@@ -4,7 +4,7 @@
 // an N-process localhost cluster, and a deterministic socket-level
 // fault proxy for chaos testing the TCP transport.
 //
-// The division of labor with the engine packages: mrbcdist/sbbc/vprog
+// The division of labor with the engine packages: mrbcdist/sbbc
 // already run SPMD when handed a remote gluon.Transport — every
 // process executes the same batch loop for its one host. This package
 // supplies everything around that: process lifecycle, the address
@@ -232,14 +232,9 @@ func RunJob(spec *JobSpec, transport gluon.Transport, trace *obs.Trace, metrics 
 		CommNs:   stats.CommTime.Nanoseconds(),
 		HiddenNs: stats.HiddenTime.Nanoseconds(),
 	}
-	if transport != nil {
-		var agg gluon.ChannelStats
-		for to := 0; to < spec.Hosts; to++ {
-			agg.Add(transport.Stats(spec.Host, to))
-		}
-		res.Retries = agg.Retries
-		res.RetryBytes = agg.RetryBytes
-		res.Redials = agg.Redials
+	if link, ok := transport.(interface{ LinkStats() gluon.LinkStats }); ok {
+		ls := link.LinkStats()
+		res.Retries, res.RetryBytes, res.Redials = ls.RetryMessages, ls.RetryBytes, ls.Redials
 	}
 	if runErr != nil {
 		var fe *dgalois.FaultError

@@ -20,9 +20,10 @@
 // unless ClusterOptions.Metrics injects a shared one); Stats remains
 // the derived snapshot view. With ClusterOptions.Trace set, the
 // cluster additionally emits one obs event per (round, host, phase) —
-// compute, barrier, pack, exchange, unpack, plus transport events on
-// the reliable path. A nil trace costs a single predictable branch per
-// phase: the steady-state Exchange stays allocation-free either way.
+// compute, barrier, pack, exchange, unpack, plus one transport event
+// per exchange on backends that run the reliable-delivery protocol. A
+// nil trace costs a single predictable branch per phase: the
+// steady-state Exchange stays allocation-free either way.
 //
 // The communication phase is allocation-free at steady state: the
 // cluster keeps one reusable gluon.Writer per ordered host pair and
@@ -129,19 +130,24 @@ type Cluster struct {
 	decoders []*gluon.Decoder
 
 	// transport moves the packed buffers. The default is the in-process
-	// MemTransport (mem aliases it, non-nil), whose Send is a slice
-	// hand-off into a preallocated inbox matrix — the refactored form of
-	// the original buffer matrix, byte- and accounting-identical. A
-	// remote transport (ClusterOptions.Transport) puts the cluster in
-	// SPMD mode: this process runs exactly one host (localHost ≥ 0),
-	// Compute/pack/unpack touch only that host, and cross-process
-	// control decisions go through AllReduce.
+	// MemTransport, whose Send is a slice hand-off into a preallocated
+	// inbox matrix — the refactored form of the original buffer matrix,
+	// byte- and accounting-identical. A transport owning a single local
+	// host (ClusterOptions.Transport) puts the cluster in SPMD mode: this
+	// process runs exactly one host (localHost ≥ 0), Compute/pack/unpack
+	// touch only that host, and cross-process control decisions go
+	// through AllReduce.
 	transport gluon.Transport
-	mem       *gluon.MemTransport
-	streamer  gluon.Streamer // per-sender gather, remote backends only
+	streamer  gluon.Streamer // per-sender gather, SPMD mode only
 	localHost int            // the single local host in SPMD mode; -1 when all hosts are local
 	curEx     int            // exchange identifier the current pack/unpack tasks run under
-	lastNet   gluon.ChannelStats
+	exchanges int            // exchanges begun, for the global identifier stream
+
+	// link is the transport's protocol-work report (nil on MemTransport);
+	// lastVol/lastLink are the totals at the previous transport event.
+	link     linkStater
+	lastVol  gluon.ChannelStats
+	lastLink gluon.LinkStats
 
 	// Exchange-identifier streams. stream < 0 (the default) numbers
 	// exchanges 0,1,2,… globally; SetStream(batch) switches to per-batch
@@ -169,14 +175,6 @@ type Cluster struct {
 	packTaskFn   func(i int)
 	unpackTaskFn func(i int)
 	closeOnce    sync.Once
-
-	// Fault-tolerant transport state (reliable.go); plan == nil keeps
-	// the perfect-network fast path equivalent to the seed behavior.
-	plan      *FaultPlan
-	exchanges int        // exchange index, for stall schedules
-	seqOut    [][]uint32 // last sequence number sent per channel
-	seqIn     [][]uint32 // last sequence number delivered per channel
-	faults    FaultStats
 }
 
 // exchangeTally accumulates one host's side of an exchange for trace
@@ -218,11 +216,6 @@ type PendingExchange struct {
 	unpack     func(to, from int, data []byte, dec *gluon.Decoder)
 }
 
-// noopPending is what BeginExchange returns when the exchange already
-// ran synchronously (the reliable fault-plan path); its Complete is a
-// no-op.
-var noopPending = &PendingExchange{}
-
 // Complete finishes a detached exchange: it blocks until every peer's
 // buffer arrived (remote backends), runs the unpack phase, and folds
 // the exchange's timing into the cluster statistics. The wait that
@@ -239,9 +232,6 @@ func (p *PendingExchange) Complete() {
 // ClusterOptions configures a cluster beyond its host count. The zero
 // value reproduces NewCluster exactly.
 type ClusterOptions struct {
-	// Plan routes every exchange through the framed ack/retry transport
-	// (nil: perfect network).
-	Plan *FaultPlan
 	// Trace receives one event per (round, host, phase) plus transport
 	// events; nil disables tracing at zero cost.
 	Trace *obs.Trace
@@ -253,13 +243,13 @@ type ClusterOptions struct {
 	// worker count — golden-trace tests sweep this.
 	Workers int
 	// Transport overrides the byte-moving backend. Nil selects the
-	// in-process MemTransport (the default simulated cluster). A remote
-	// backend (gluon.TCPTransport) must own exactly one local host and
-	// puts the cluster in SPMD mode: every process of the job runs the
-	// same engine loop for its own host, and the cluster only computes,
-	// packs, and unpacks for the local one. A remote transport is
-	// incompatible with Plan — fault plans simulate a network the remote
-	// backend replaces (inject real socket faults with a proxy instead).
+	// in-process MemTransport (the default simulated cluster over a
+	// perfect network). A backend owning every host runs the whole
+	// cluster in this process — gluon.LossyTransport does so over a
+	// simulated faulty link. A backend owning exactly one local host
+	// (gluon.TCPTransport) puts the cluster in SPMD mode: every process
+	// of the job runs the same engine loop for its own host, and the
+	// cluster only computes, packs, and unpacks for the local one.
 	Transport gluon.Transport
 	// MaxInflight is the number of exchanges that may be open
 	// concurrently (BeginExchange called, Complete pending). 0 or 1
@@ -273,18 +263,9 @@ type ClusterOptions struct {
 }
 
 // NewCluster creates a cluster of the given number of hosts with a
-// perfect network (no fault plan, no framing).
+// perfect in-process network.
 func NewCluster(hosts int) *Cluster {
 	return NewClusterOpts(hosts, ClusterOptions{})
-}
-
-// NewClusterWithPlan creates a cluster whose exchanges run through the
-// framed ack/retry transport under the given fault plan. A nil plan is
-// the perfect network; a non-nil plan with zero rates exercises the
-// full reliable protocol (sequence numbers, checksums, acks) without
-// injecting faults.
-func NewClusterWithPlan(hosts int, plan *FaultPlan) *Cluster {
-	return NewClusterOpts(hosts, ClusterOptions{Plan: plan})
 }
 
 // NewClusterOpts creates a cluster with explicit options.
@@ -296,7 +277,6 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 		hosts:          hosts,
 		epoch:          time.Now(),
 		perHostCompute: make([]time.Duration, hosts),
-		plan:           opts.Plan,
 		trace:          opts.Trace,
 		metrics:        opts.Metrics,
 	}
@@ -350,39 +330,33 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 	c.localHost = -1
 	c.transport = opts.Transport
 	if c.transport == nil {
-		c.mem = gluon.NewMemTransportWindow(hosts, c.maxInflight)
-		c.transport = c.mem
-	} else {
-		if c.transport.Hosts() != hosts {
-			panic(fmt.Sprintf("dgalois: transport spans %d hosts, cluster has %d", c.transport.Hosts(), hosts))
-		}
-		if m, ok := c.transport.(*gluon.MemTransport); ok {
-			c.mem = m
-			if m.Window() < c.maxInflight {
-				panic(fmt.Sprintf("dgalois: MaxInflight %d exceeds the transport's %d-exchange window", c.maxInflight, m.Window()))
-			}
-		} else {
-			nLocal := 0
-			for h := 0; h < hosts; h++ {
-				if c.transport.Local(h) {
-					c.localHost = h
-					nLocal++
-				}
-			}
-			if nLocal != 1 {
-				panic(fmt.Sprintf("dgalois: remote transport must own exactly one local host, owns %d", nLocal))
-			}
-			if c.plan != nil {
-				panic("dgalois: FaultPlan simulates the network and requires the in-process transport; inject socket-level faults into a remote backend with a proxy instead")
-			}
+		c.transport = gluon.NewMemTransportWindow(hosts, c.maxInflight)
+	}
+	if c.transport.Hosts() != hosts {
+		panic(fmt.Sprintf("dgalois: transport spans %d hosts, cluster has %d", c.transport.Hosts(), hosts))
+	}
+	if w, ok := c.transport.(interface{ Window() int }); ok && w.Window() < c.maxInflight {
+		panic(fmt.Sprintf("dgalois: MaxInflight %d exceeds the transport's %d-exchange window", c.maxInflight, w.Window()))
+	}
+	nLocal := 0
+	for h := 0; h < hosts; h++ {
+		if c.transport.Local(h) {
+			c.localHost = h
+			nLocal++
 		}
 	}
-	if c.localHost >= 0 {
-		// Per-sender streaming unpack applies only to remote backends:
-		// the in-process transport's BSP barrier already sequenced every
-		// send, so gathering whole exchanges there stays byte-identical.
+	switch nLocal {
+	case 1:
+		// SPMD mode (a single-host cluster too). Streaming unpack applies
+		// only here: in process the BSP barrier already sequenced every
+		// send, so gathering whole exchanges stays byte-identical.
 		c.streamer, _ = c.transport.(gluon.Streamer)
+	case hosts:
+		c.localHost = -1
+	default:
+		panic(fmt.Sprintf("dgalois: transport must own one host or all %d, owns %d", hosts, nLocal))
 	}
+	c.link, _ = c.transport.(linkStater)
 	c.tickets = make([]PendingExchange, c.maxInflight)
 	for k := range c.tickets {
 		t := &c.tickets[k]
@@ -425,15 +399,6 @@ func NewClusterOpts(hosts int, opts ClusterOptions) *Cluster {
 	c.pool = newWorkerPool(workers)
 	c.packTaskFn = c.packTask
 	c.unpackTaskFn = c.unpackTask
-	if c.plan != nil {
-		c.seqOut = make([][]uint32, hosts)
-		c.seqIn = make([][]uint32, hosts)
-		for i := range c.seqOut {
-			c.seqOut[i] = make([]uint32, hosts)
-			c.seqIn[i] = make([]uint32, hosts)
-		}
-		c.faults.PerHost = make([]HostFaultStats, hosts)
-	}
 	// The workers hold no reference back to the cluster while idle, so
 	// an abandoned cluster is collectable; the finalizer then releases
 	// its worker goroutines for callers that never call Close.
@@ -818,8 +783,8 @@ func (c *Cluster) noteTransportError(err error) {
 }
 
 // markDead flips a host's liveness gauge to 0 once the cluster has
-// evidence the host is gone (a kill tripped the delivery deadline, or a
-// remote backend reported a transport failure on its channels), so
+// evidence the host is gone (the transport reported a deadline failure
+// on its channels), so
 // /progressz stops treating its frozen last-round as straggler lag.
 func (c *Cluster) markDead(host int) {
 	if host >= 0 && host < len(c.hostAliveG) {
@@ -839,7 +804,7 @@ func (c *Cluster) checkExchangeErr() {
 }
 
 // runPackPhase dispatches the pair-parallel pack loop for the current
-// exchange (shared by the perfect and reliable paths).
+// exchange.
 func (c *Cluster) runPackPhase(pack func(from, to int, w *gluon.Writer)) {
 	c.packFn = pack
 	c.pool.runAll(c.hosts*c.hosts, c.packTaskFn)
@@ -942,10 +907,6 @@ func (c *Cluster) emitExchangeEvents(t *PendingExchange, completeStart, end time
 // (mirror lists of distinct pairs are disjoint, so per-vertex writes
 // are safe).
 func (c *Cluster) Exchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) {
-	if c.plan != nil {
-		c.exchangeReliable(pack, unpack)
-		return
-	}
 	t := c.claimTicket()
 	c.begin(t, pack, unpack)
 	c.complete(t)
@@ -957,16 +918,8 @@ func (c *Cluster) Exchange(pack func(from, to int, w *gluon.Writer), unpack func
 // the returned ticket's Complete. Compute that does not depend on the
 // exchange's incoming data may run between the two — the wire time it
 // covers is tallied as hidden exchange time. At most
-// ClusterOptions.MaxInflight exchanges may be open at once. Under a
-// fault plan the exchange runs synchronously through the reliable
-// delivery loop instead (its step-clocked retransmission is the
-// simulated network's wire time) and the returned ticket's Complete is
-// a no-op.
+// ClusterOptions.MaxInflight exchanges may be open at once.
 func (c *Cluster) BeginExchange(pack func(from, to int, w *gluon.Writer), unpack func(to, from int, data []byte, dec *gluon.Decoder)) *PendingExchange {
-	if c.plan != nil {
-		c.exchangeReliable(pack, unpack)
-		return noopPending
-	}
 	t := c.claimTicket()
 	t.detached = true
 	c.begin(t, pack, unpack)
@@ -1023,45 +976,55 @@ func (c *Cluster) complete(t *PendingExchange) {
 	c.commHist.Observe(wall.Seconds())
 	if c.trace != nil {
 		c.emitExchangeEvents(t, completeStart, end, hidden)
-		c.emitNetTransportEvent(t.unpackSeq, t.batch, t.start, end)
+		c.emitTransportEvent(t.unpackSeq, t.batch, t.start, end)
 	}
 	t.detached = false
 	t.inUse = false
 	c.checkExchangeErr()
 }
 
-// emitNetTransportEvent publishes one transport event per exchange for
-// remote backends: the backend label plus the exchange's logical volume
-// and recovery-work deltas aggregated over the local host's outgoing
-// channels. The in-process backend emits nothing here, keeping the
-// canonical golden trace byte-identical to the pre-transport substrate.
-func (c *Cluster) emitNetTransportEvent(seq int64, batch int32, start, end time.Time) {
-	if c.localHost < 0 {
+// linkStater is implemented by the backends that run gluon's
+// reliable-delivery protocol (TCP, the lossy in-process link), not by
+// the perfect-network MemTransport.
+type linkStater interface{ LinkStats() gluon.LinkStats }
+
+// emitTransportEvent publishes one transport event per exchange for
+// backends that run the reliable-delivery protocol (TCP, the lossy
+// in-process link): the backend label, the exchange's logical volume
+// over the local senders' channels, and the protocol-work deltas. The
+// perfect-network MemTransport emits nothing, keeping the canonical
+// golden trace byte-identical to the pre-transport substrate.
+func (c *Cluster) emitTransportEvent(seq int64, batch int32, start, end time.Time) {
+	if c.link == nil {
 		return
 	}
-	var agg gluon.ChannelStats
-	for to := 0; to < c.hosts; to++ {
-		agg.Add(c.transport.Stats(c.localHost, to))
+	var vol gluon.ChannelStats
+	for from := 0; from < c.hosts; from++ {
+		if c.isLocal(from) {
+			for to := 0; to < c.hosts; to++ {
+				vol.Add(c.transport.Stats(from, to))
+			}
+		}
 	}
-	d := agg
-	last := c.lastNet
-	c.lastNet = agg
-	d.Messages -= last.Messages
-	d.Bytes -= last.Bytes
-	d.Control -= last.Control
-	d.Retries -= last.Retries
-	d.RetryBytes -= last.RetryBytes
-	d.Redials -= last.Redials
+	ls := c.link.LinkStats()
+	lastVol, last := c.lastVol, c.lastLink
+	c.lastVol, c.lastLink = vol, ls
 	c.trace.Emit(obs.Event{Kind: obs.KindTransport, Seq: seq, Batch: batch,
 		Round: int32(c.roundsC.Load() - c.baseRounds), Host: int32(c.localHost),
-		Backend:    c.transport.Backend(),
-		Bytes:      d.Bytes,
-		Messages:   d.Messages,
-		Retries:    d.Retries,
-		RetryBytes: d.RetryBytes,
-		Redials:    d.Redials,
-		StartNs:    start.Sub(c.epoch).Nanoseconds(),
-		DurNs:      end.Sub(start).Nanoseconds()})
+		Backend:     c.transport.Backend(),
+		Bytes:       vol.Bytes - lastVol.Bytes,
+		Messages:    vol.Messages - lastVol.Messages,
+		Retries:     ls.RetryMessages - last.RetryMessages,
+		RetryBytes:  ls.RetryBytes - last.RetryBytes,
+		Redials:     ls.Redials - last.Redials,
+		FrameBytes:  ls.FrameBytes - last.FrameBytes,
+		AckMessages: ls.AckMessages - last.AckMessages,
+		AckBytes:    ls.AckBytes - last.AckBytes,
+		Steps:       ls.DeliverySteps - last.DeliverySteps,
+		Injected:    ls.Injected() - last.Injected(),
+		Stalled:     ls.StalledSteps - last.StalledSteps,
+		StartNs:     start.Sub(c.epoch).Nanoseconds(),
+		DurNs:       end.Sub(start).Nanoseconds()})
 }
 
 // Stats is a snapshot of execution costs. Bytes and Messages are the
@@ -1085,9 +1048,9 @@ type Stats struct {
 	// produced by gluon.EncodeUpdates (raw payloads in tests) appear in
 	// Messages but in no Encoding bucket.
 	Encoding gluon.EncodingCounts
-	// Faults reports the reliable transport's activity (framing
-	// overhead, retries, acks, injected faults, per-host breakdown).
-	// Nil when the cluster runs without a fault plan.
+	// Faults reports the reliable-delivery protocol's activity (framing
+	// overhead, retries, acks, injected faults, per-host breakdown). Nil
+	// on the perfect-network MemTransport.
 	Faults *FaultStats
 }
 
@@ -1124,8 +1087,8 @@ func (c *Cluster) Stats() Stats {
 		PerHostCompute: per,
 	}
 	s.ExecutionTime = s.ComputeTime + s.CommTime
-	if c.plan != nil {
-		s.Faults = c.faults.clone()
+	if c.link != nil {
+		s.Faults = &FaultStats{LinkStats: c.link.LinkStats()}
 	}
 	return s
 }

@@ -467,16 +467,16 @@ func TestTraceEventsMatchStats(t *testing.T) {
 }
 
 // TestReliableModelStreamMatchesFaultFree pins the model-stream
-// invariant: under a seeded fault plan, transport events record the
-// retries/framing/acks, but filtering them out leaves a canonical
-// event stream byte-identical to the fault-free run's.
+// invariant: on the lossy link under a seeded fault plan, transport
+// events record the retries/framing/acks, but filtering them out leaves
+// a canonical event stream byte-identical to the perfect network's.
 func TestReliableModelStreamMatchesFaultFree(t *testing.T) {
 	const hosts, listLen, rounds = 4, 256, 5
-	run := func(plan *FaultPlan) []obs.Event {
+	run := func(link gluon.Transport) []obs.Event {
 		var sink int64
 		pack, unpack := fixedWorkload(listLen, &sink)
 		tr := obs.NewTrace(1<<12, obs.LevelPhase)
-		c := NewClusterOpts(hosts, ClusterOptions{Plan: plan, Trace: tr})
+		c := NewClusterOpts(hosts, ClusterOptions{Transport: link, Trace: tr})
 		defer c.Close()
 		for r := 0; r < rounds; r++ {
 			c.BeginRound()
@@ -488,7 +488,7 @@ func TestReliableModelStreamMatchesFaultFree(t *testing.T) {
 		return tr.Events()
 	}
 	perfect := run(nil)
-	faulty := run(RandomPlan(7, 0.2, hosts))
+	faulty := run(gluon.NewLossyTransport(hosts, gluon.RandomPlan(7, 0.2, hosts)))
 
 	sawTransport := false
 	for _, e := range faulty {

@@ -41,6 +41,12 @@ func ringExchange(t *testing.T, c *Cluster) (deliveries map[[2]int]int, mutated 
 	return deliveries, mutated
 }
 
+// lossyCluster returns a cluster whose exchanges cross the in-process
+// lossy link under the plan.
+func lossyCluster(hosts int, plan *gluon.FaultPlan) *Cluster {
+	return NewClusterOpts(hosts, ClusterOptions{Transport: gluon.NewLossyTransport(hosts, plan)})
+}
+
 // assertExactlyOnce checks that every channel was unpacked exactly once
 // with intact content.
 func assertExactlyOnce(t *testing.T, deliveries map[[2]int]int, mutated bool) {
@@ -61,7 +67,7 @@ func TestReliableExchangeFaultFree(t *testing.T) {
 	// one delivery step per exchange.
 	raw := NewCluster(4)
 	ringExchange(t, raw)
-	framed := NewClusterWithPlan(4, &FaultPlan{Seed: 1})
+	framed := lossyCluster(4, nil)
 	deliveries, mutated := ringExchange(t, framed)
 	assertExactlyOnce(t, deliveries, mutated)
 
@@ -89,7 +95,7 @@ func TestReliableExchangeFaultFree(t *testing.T) {
 }
 
 func TestReliableExchangeSurvivesEachFaultKind(t *testing.T) {
-	plans := map[string]*FaultPlan{
+	plans := map[string]*gluon.FaultPlan{
 		"drop":     {Seed: 7, Drop: 0.5},
 		"dup":      {Seed: 7, Dup: 1.0},
 		"delay":    {Seed: 7, Delay: 1.0, MaxDelaySteps: 3},
@@ -101,7 +107,7 @@ func TestReliableExchangeSurvivesEachFaultKind(t *testing.T) {
 	}
 	for name, plan := range plans {
 		t.Run(name, func(t *testing.T) {
-			c := NewClusterWithPlan(5, plan)
+			c := lossyCluster(5, plan)
 			for i := 0; i < 8; i++ { // several exchanges so seq numbers advance
 				deliveries, mutated := ringExchange(t, c)
 				assertExactlyOnce(t, deliveries, mutated)
@@ -142,16 +148,13 @@ func TestReliableExchangeSurvivesEachFaultKind(t *testing.T) {
 }
 
 func TestReliableExchangeRecoversFromBoundedStall(t *testing.T) {
-	plan := &FaultPlan{Seed: 3, Stalls: []Stall{{Host: 1, Exchange: 0, Steps: 5}}}
-	c := NewClusterWithPlan(3, plan)
+	plan := &gluon.FaultPlan{Seed: 3, Stalls: []gluon.Stall{{Host: 1, Exchange: 0, Steps: 5}}}
+	c := lossyCluster(3, plan)
 	deliveries, mutated := ringExchange(t, c)
 	assertExactlyOnce(t, deliveries, mutated)
 	f := c.Stats().Faults
 	if f.StalledSteps == 0 {
 		t.Fatal("stall not recorded")
-	}
-	if f.PerHost[1].StalledSteps == 0 {
-		t.Fatal("per-host stall not attributed to host 1")
 	}
 	if f.MaxDeliverySteps < 6 {
 		t.Fatalf("exchange completed in %d steps despite a 5-step stall", f.MaxDeliverySteps)
@@ -159,8 +162,8 @@ func TestReliableExchangeRecoversFromBoundedStall(t *testing.T) {
 }
 
 func TestPermanentStallFailsWithStructuredError(t *testing.T) {
-	plan := &FaultPlan{Seed: 3, DeadlineSteps: 10, Stalls: []Stall{{Host: 2, Exchange: 0, Steps: -1}}}
-	c := NewClusterWithPlan(4, plan)
+	plan := &gluon.FaultPlan{Seed: 3, DeadlineSteps: 10, Stalls: []gluon.Stall{{Host: 2, Exchange: 0, Steps: -1}}}
+	c := lossyCluster(4, plan)
 	done := make(chan error, 1)
 	go func() {
 		done <- Capture(func() { ringExchange(t, c) })
@@ -216,10 +219,10 @@ func TestRoundImbalanceCountsParticipatingHostsOnly(t *testing.T) {
 }
 
 func TestStatsAddMergesFaultStats(t *testing.T) {
-	a := Stats{Rounds: 1, Faults: &FaultStats{Drops: 2, RetryBytes: 100, MaxDeliverySteps: 3, PerHost: []HostFaultStats{{Retries: 1}}}}
-	b := Stats{Rounds: 1, Faults: &FaultStats{Drops: 3, RetryBytes: 50, MaxDeliverySteps: 7, PerHost: []HostFaultStats{{Retries: 2}}}}
+	a := Stats{Rounds: 1, Faults: &FaultStats{Kills: 1, LinkStats: gluon.LinkStats{Drops: 2, RetryBytes: 100, MaxDeliverySteps: 3}}}
+	b := Stats{Rounds: 1, Faults: &FaultStats{Kills: 2, LinkStats: gluon.LinkStats{Drops: 3, RetryBytes: 50, MaxDeliverySteps: 7}}}
 	a.Add(b)
-	if a.Faults.Drops != 5 || a.Faults.RetryBytes != 150 || a.Faults.MaxDeliverySteps != 7 || a.Faults.PerHost[0].Retries != 3 {
+	if a.Faults.Drops != 5 || a.Faults.RetryBytes != 150 || a.Faults.MaxDeliverySteps != 7 || a.Faults.Kills != 3 {
 		t.Fatalf("merge wrong: %+v", a.Faults)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mrbc/internal/dgalois"
+	"mrbc/internal/gluon"
 )
 
 // In-process kill/restore supervisor: the single-process analog of the
@@ -21,7 +22,7 @@ import (
 // from scratch), checkpointing into the supervisor's sink, with the
 // given kills armed in the attempt's fault plan. Implementations close
 // over the engine entry point (mrbcdist.RunChecked) and its options.
-type RunFunc func(resume *Snapshot, kills []dgalois.Kill) ([]float64, dgalois.Stats, error)
+type RunFunc func(resume *Snapshot, kills []gluon.Kill) ([]float64, dgalois.Stats, error)
 
 // Report summarizes one supervised run's recovery history.
 type Report struct {
@@ -45,7 +46,7 @@ type Supervisor struct {
 	Bus *Bus
 	// Kills is the seeded host-kill schedule; kills are armed one per
 	// attempt, in order, and consumed when they fire.
-	Kills []dgalois.Kill
+	Kills []gluon.Kill
 	// MaxAttempts bounds the recovery loop (default len(Kills)+2).
 	MaxAttempts int
 }
@@ -93,7 +94,7 @@ func (s *Supervisor) Run(run RunFunc) ([]float64, dgalois.Stats, *Report, error)
 			s.Bus.Publish(Event{Topic: TopicRollback, Host: -1, Epoch: epoch, Batch: boundary})
 			s.Bus.Publish(Event{Topic: TopicResumed, Host: -1, Epoch: epoch, Batch: boundary})
 		}
-		var kills []dgalois.Kill
+		var kills []gluon.Kill
 		if next < len(s.Kills) {
 			kills = s.Kills[next : next+1]
 		}

@@ -7,8 +7,8 @@ import (
 	"hash/crc32"
 )
 
-// Frame layer: the unit of transmission of the fault-tolerant exchange
-// path (internal/dgalois). Every sync buffer travels inside a frame
+// Frame layer: the unit of transmission of the reliable-delivery
+// protocol (reliable.go). Every sync buffer travels inside a frame
 // carrying a per-channel sequence number and a checksum, so the
 // transport can detect truncation and bit corruption, discard
 // duplicates, and acknowledge exactly the messages that arrived intact.

@@ -75,29 +75,33 @@ func TestMemTransportWindowOverflowPanics(t *testing.T) {
 	_ = m.Send(1, 0, 1, []byte{2})
 }
 
-func TestMemTransportBufferedAndReclaim(t *testing.T) {
+// TestMemTransportSlotReuse pins slot release: once every receiver
+// gathered an exchange, its slot returns to the pool, so a fresh
+// exchange fits a window of one.
+func TestMemTransportSlotReuse(t *testing.T) {
 	m := NewMemTransportWindow(2, 1)
 	defer m.Close()
 	payload := []byte{7, 8, 9}
 	if err := m.Send(4, 0, 1, payload); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Buffered(4, 0, 1); !bytes.Equal(got, payload) {
-		t.Fatalf("Buffered returned %x, want %x", got, payload)
+	if err := m.Send(4, 1, 0, nil); err != nil {
+		t.Fatal(err)
 	}
-	if got := m.Buffered(5, 0, 1); got != nil {
-		t.Fatalf("Buffered for an unopened exchange returned %x", got)
+	bufs, err := m.Gather(4, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	m.Reclaim(4)
-	if got := m.Buffered(4, 0, 1); got != nil {
-		t.Fatalf("Buffered after Reclaim returned %x", got)
+	if !bytes.Equal(bufs[0], payload) {
+		t.Fatalf("Gather returned %x, want %x", bufs[0], payload)
 	}
-	// The reclaimed slot is reusable: a fresh exchange fits the window.
+	if _, err := m.Gather(4, 0); err != nil {
+		t.Fatal(err)
+	}
+	// Both receivers gathered: the released slot takes a fresh exchange.
 	if err := m.Send(5, 1, 0, []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	m.Reclaim(5)
-	m.Reclaim(6) // unknown exchange: no-op
 }
 
 // TestTCPGatherFromArbitraryOrder exercises the Streamer half of the

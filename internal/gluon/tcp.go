@@ -11,14 +11,13 @@ import (
 )
 
 // TCP backend: one process per host, full mesh of TCP connections. The
-// wire unit is the PR 2 gluon frame (magic, per-channel seq, CRC-32C),
-// read with length-prefixed framing straight off the header's len
-// field. Reliability mirrors the in-process fault-plan transport:
-// cumulative per-sender sequence numbers, cumulative acks, step-based
-// retransmission of unacked records, and connection re-dial on
-// transient failure. A peer that makes no progress for DeadlineSteps
-// consecutive steps surfaces as a structured *TransportError — never a
-// hang — exactly like DeadlineSteps does on the simulated network.
+// wire unit is the gluon frame (magic, per-channel seq, CRC-32C), read
+// with length-prefixed framing straight off the header's len field.
+// Reliability is the protocol state machine of reliable.go (the one the
+// in-process LossyTransport runs), ticked once per StepInterval, plus
+// connection re-dial on transient failure. A peer that makes no ack
+// progress for DeadlineSteps consecutive steps surfaces as a structured
+// *TransportError — never a hang.
 //
 // Connections are asymmetric: each host dials every other host once
 // and writes its hello/data/reduce records on that connection; acks
@@ -53,8 +52,8 @@ type TCPOptions struct {
 	// StepInterval is the wall-clock length of one reliability step
 	// (default 25 ms).
 	StepInterval time.Duration
-	// RetrySteps is how many steps an unacked record waits before the
-	// sender retransmits its queue (default 8).
+	// RetrySteps is how many steps without ack progress the sender
+	// waits before it retransmits its unacked queue (default 8).
 	RetrySteps int
 	// DialTimeout bounds a single (re-)dial attempt (default 2 s).
 	DialTimeout time.Duration
@@ -95,7 +94,7 @@ type TCPTransport struct {
 	peers []*tcpPeer // nil at index self
 
 	mu       sync.Mutex
-	inSeq    []uint32               // highest accepted seq per sender
+	in       []reliableChannel      // receiver half of each inbound channel, by sender
 	inConns  []net.Conn             // current accepted conn per sender (ack path)
 	boxes    map[int]*exchangeBox   // keyed by exchange index
 	reduces  map[uint32]*reduceCell // keyed by reduce round
@@ -119,7 +118,8 @@ type exchangeBox struct {
 
 type reduceCell struct {
 	acc int64
-	n   int // peers folded in
+	n   int    // peers folded in
+	got []bool // by sender
 }
 
 // NewTCPTransport starts the backend for local host self in a cluster
@@ -141,7 +141,7 @@ func NewTCPTransport(self int, addrs []string, ln net.Listener, opts TCPOptions)
 		opts:     opts.withDefaults(),
 		ln:       ln,
 		peers:    make([]*tcpPeer, hosts),
-		inSeq:    make([]uint32, hosts),
+		in:       make([]reliableChannel, hosts),
 		inConns:  make([]net.Conn, hosts),
 		boxes:    make(map[int]*exchangeBox),
 		reduces:  make(map[uint32]*reduceCell),
@@ -180,10 +180,7 @@ func (t *TCPTransport) Send(exchange, from, to int, buf []byte) error {
 	if to == from || to < 0 || to >= t.hosts {
 		return fmt.Errorf("gluon: tcp Send to invalid host %d", to)
 	}
-	body := make([]byte, 5+len(buf))
-	body[0] = recData
-	binary.LittleEndian.PutUint32(body[1:], uint32(exchange))
-	copy(body[5:], buf)
+	body := dataRecord(exchange, buf)
 	t.mu.Lock()
 	s := &t.stats[from*t.hosts+to]
 	if len(buf) > 0 {
@@ -345,13 +342,24 @@ func (t *TCPTransport) AllReduce(host int, local int64, op ReduceOp) (int64, err
 			return 0, &TransportError{Host: -1, Exchange: -1, Steps: steps, Reason: "transport closed"}
 		}
 		if steps > t.opts.DeadlineSteps {
+			// Blame the peer our records stall on, else the one peer whose
+			// record is missing, if only one is (several implicate no one).
+			host := t.mostStalledPeer()
+			missing := -1
 			t.mu.Lock()
-			pending := t.hosts - 1
-			if cell := t.reduces[r]; cell != nil {
-				pending -= cell.n
+			pending := 0
+			cell := t.reduces[r]
+			for h := 0; h < t.hosts; h++ {
+				if h != t.self && (cell == nil || !cell.got[h]) {
+					pending++
+					missing = h
+				}
 			}
 			t.mu.Unlock()
-			return 0, &TransportError{Host: t.mostStalledPeer(), Exchange: -1, Pending: pending, Steps: steps,
+			if host < 0 && pending == 1 {
+				host = missing
+			}
+			return 0, &TransportError{Host: host, Exchange: -1, Pending: pending, Steps: steps,
 				Reason: fmt.Sprintf("stall deadline exceeded waiting for reduce round %d", r)}
 		}
 	}
@@ -365,21 +373,24 @@ func (t *TCPTransport) Stats(from, to int) ChannelStats {
 	if from < 0 || from >= t.hosts || to < 0 || to >= t.hosts {
 		return ChannelStats{}
 	}
-	s := &t.stats[from*t.hosts+to]
 	t.mu.Lock()
-	out := *s
-	t.mu.Unlock()
-	if from == t.self {
-		p := t.peers[to]
-		if p != nil {
-			p.mu.Lock()
-			out.Retries += p.retries
-			out.RetryBytes += p.retryBytes
-			out.Redials += p.redials
-			p.mu.Unlock()
+	defer t.mu.Unlock()
+	return t.stats[from*t.hosts+to]
+}
+
+// LinkStats returns the protocol work of the local host's outbound
+// channels.
+func (t *TCPTransport) LinkStats() LinkStats {
+	var s LinkStats
+	for _, p := range t.peers {
+		if p == nil {
+			continue
 		}
+		p.mu.Lock()
+		s.Add(&p.out.stats)
+		p.mu.Unlock()
 	}
-	return out
+	return s
 }
 
 // Close tears the backend down: the listener, every connection, and
@@ -427,7 +438,7 @@ func (t *TCPTransport) drainOutbound() {
 				continue
 			}
 			p.mu.Lock()
-			if p.err == nil && len(p.unacked) > 0 {
+			if p.err == nil && len(p.out.unacked) > 0 {
 				pending = true
 			}
 			p.mu.Unlock()
@@ -470,8 +481,8 @@ func (t *TCPTransport) mostStalledPeer() (host int) {
 			continue
 		}
 		p.mu.Lock()
-		if len(p.unacked) > 0 && p.waitSteps > best {
-			best = p.waitSteps
+		if len(p.out.unacked) > 0 && p.out.wait > best {
+			best = p.out.wait
 			host = p.host
 		}
 		p.mu.Unlock()
@@ -579,12 +590,10 @@ func (t *TCPTransport) receiveRecord(conn net.Conn, from int, seq uint32, body [
 	switch body[0] {
 	case recData, recRed:
 		t.mu.Lock()
-		fresh := seq == t.inSeq[from]+1
+		fresh, ack := t.in[from].accept(seq)
 		if fresh {
-			t.inSeq[from] = seq
 			t.dispatchLocked(from, body)
 		}
-		ack := t.inSeq[from]
 		// Receiver-side acks are control traffic on the return channel.
 		t.stats[t.self*t.hosts+from].Control++
 		t.mu.Unlock()
@@ -622,43 +631,33 @@ func (t *TCPTransport) dispatchLocked(from int, body []byte) {
 		v := int64(binary.LittleEndian.Uint64(body[6:]))
 		cell := t.reduces[r]
 		if cell == nil {
-			t.reduces[r] = &reduceCell{acc: v, n: 1}
-			return
+			cell = &reduceCell{acc: v, got: make([]bool, t.hosts)}
+			t.reduces[r] = cell
+		} else {
+			cell.acc = op.Apply(cell.acc, v)
 		}
-		cell.acc = op.Apply(cell.acc, v)
 		cell.n++
+		cell.got[from] = true
 	}
 }
 
 // tcpPeer is the sender side of one outbound channel: it owns the
-// dialed connection, the unacked queue, and the step loop that
-// retransmits, re-dials, and declares the peer dead after the stall
-// deadline.
+// dialed connection, the channel's protocol state, and the step loop
+// that ticks it — retransmitting, re-dialing, and declaring the peer
+// dead after the stall deadline.
 type tcpPeer struct {
 	t    *TCPTransport
 	host int
 	addr string
 
-	mu         sync.Mutex
-	conn       net.Conn
-	seq        uint32 // last assigned channel seq
-	acked      uint32 // highest cumulative ack received
-	unacked    []tcpRecord
-	idleSteps  int
-	waitSteps  int
-	retries    int64
-	retryBytes int64
-	redials    int64
-	everConn   bool
-	err        *TransportError
+	mu       sync.Mutex
+	conn     net.Conn
+	out      reliableChannel // sender half
+	everConn bool
+	err      *TransportError
 
 	closed chan struct{}
 	once   sync.Once
-}
-
-type tcpRecord struct {
-	seq   uint32
-	frame []byte
 }
 
 func newTCPPeer(t *TCPTransport, host int, addr string) *tcpPeer {
@@ -668,29 +667,38 @@ func newTCPPeer(t *TCPTransport, host int, addr string) *tcpPeer {
 	return p
 }
 
-// enqueue assigns the record its channel seq, appends it to the
-// unacked queue, and attempts an immediate transmission. Transmission
-// failures are left to the step loop's re-dial/retry machinery.
+// enqueue queues the record on the channel and attempts an immediate
+// transmission. Transmission failures are left to the step loop's
+// re-dial/retry machinery.
 func (p *tcpPeer) enqueue(body []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.err != nil {
 		return p.err
 	}
-	p.seq++
-	rec := tcpRecord{seq: p.seq, frame: EncodeFrame(p.seq, body)}
-	p.unacked = append(p.unacked, rec)
+	p.out.push(body)
+	recs := p.out.untransmitted()
 	if p.ensureConnLocked() {
-		if err := p.writeLocked(rec.frame); err != nil {
-			p.dropConnLocked()
-		}
+		p.writeAllLocked(recs)
 	}
 	return nil
 }
 
-// stepLoop is the reliability clock: every StepInterval it checks ack
-// progress, retransmits a stale queue, re-dials a dead connection, and
-// converts DeadlineSteps of no progress into a permanent peer error.
+// writeAllLocked writes the records in order, dropping the connection
+// at the first failure.
+func (p *tcpPeer) writeAllLocked(recs []sentRecord) {
+	for _, rec := range recs {
+		if err := p.writeLocked(rec.frame); err != nil {
+			p.dropConnLocked()
+			return
+		}
+	}
+}
+
+// stepLoop is the reliability clock: every StepInterval it ticks the
+// channel's protocol state, retransmits a queue that saw no ack
+// progress for RetrySteps, re-dials a dead connection, and converts
+// DeadlineSteps of no progress into a permanent peer error.
 func (p *tcpPeer) stepLoop() {
 	defer p.t.wg.Done()
 	ticker := time.NewTicker(p.t.opts.StepInterval)
@@ -702,33 +710,20 @@ func (p *tcpPeer) stepLoop() {
 		case <-ticker.C:
 		}
 		p.mu.Lock()
-		if p.err != nil || len(p.unacked) == 0 {
-			p.idleSteps = 0
-			p.waitSteps = 0
+		if p.err != nil {
 			p.mu.Unlock()
 			continue
 		}
-		p.idleSteps++
-		p.waitSteps++
-		if p.waitSteps > p.t.opts.DeadlineSteps {
-			p.err = &TransportError{Host: p.host, Exchange: -1, Pending: len(p.unacked), Steps: p.waitSteps,
+		resend, dead := p.out.tick(p.t.opts.RetrySteps, p.t.opts.DeadlineSteps)
+		if dead {
+			p.err = &TransportError{Host: p.host, Exchange: -1, Pending: len(p.out.unacked), Steps: p.out.wait,
 				Reason: fmt.Sprintf("no ack progress from peer %d", p.host)}
 			p.mu.Unlock()
 			p.t.nudge()
 			continue
 		}
-		if p.idleSteps >= p.t.opts.RetrySteps {
-			p.idleSteps = 0
-			if p.ensureConnLocked() {
-				for _, rec := range p.unacked {
-					p.retries++
-					p.retryBytes += int64(len(rec.frame))
-					if err := p.writeLocked(rec.frame); err != nil {
-						p.dropConnLocked()
-						break
-					}
-				}
-			}
+		if resend && p.ensureConnLocked() {
+			p.writeAllLocked(p.out.retransmit())
 		}
 		p.mu.Unlock()
 	}
@@ -761,7 +756,7 @@ func (p *tcpPeer) ensureConnLocked() bool {
 	// The first dial is normal startup; only reconnections count as
 	// recovery work.
 	if p.everConn {
-		p.redials++
+		p.out.stats.Redials++
 	}
 	p.everConn = true
 	p.t.wg.Add(1)
@@ -800,21 +795,8 @@ func (p *tcpPeer) readAcks(conn net.Conn) {
 		if len(body) != 5 || body[0] != recAck {
 			continue
 		}
-		ack := binary.LittleEndian.Uint32(body[1:])
 		p.mu.Lock()
-		if ack > p.acked {
-			p.acked = ack
-			p.waitSteps = 0
-			n := 0
-			for _, rec := range p.unacked {
-				if rec.seq > ack {
-					p.unacked[n] = rec
-					n++
-				}
-			}
-			clear(p.unacked[n:])
-			p.unacked = p.unacked[:n]
-		}
+		p.out.ack(binary.LittleEndian.Uint32(body[1:]))
 		p.mu.Unlock()
 	}
 }
@@ -848,6 +830,15 @@ func readFrame(r io.Reader) (seq uint32, payload []byte, err error) {
 		return 0, nil, err
 	}
 	return DecodeFrame(buf)
+}
+
+// dataRecord builds the data record carrying one exchange payload.
+func dataRecord(exchange int, payload []byte) []byte {
+	body := make([]byte, 5+len(payload))
+	body[0] = recData
+	binary.LittleEndian.PutUint32(body[1:], uint32(exchange))
+	copy(body[5:], payload)
+	return body
 }
 
 // writeFrame frames and writes one record. Safe for use from the

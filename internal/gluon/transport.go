@@ -8,15 +8,19 @@ import (
 // Transport is the byte-moving boundary of the BSP exchange: it carries
 // one framed sync buffer per ordered host pair per exchange, plus the
 // small all-reduce control values the SPMD engine loops use for global
-// termination decisions. Two backends exist:
+// termination decisions. Three backends exist:
 //
 //   - MemTransport: the in-process delivery the simulated cluster has
 //     always used — every host lives in one address space and a "send"
-//     is a slice hand-off. Byte- and accounting-identical to the
-//     pre-interface substrate, and allocation-free at steady state.
+//     is a slice hand-off over a perfect network. Byte- and
+//     accounting-identical to the pre-interface substrate, and
+//     allocation-free at steady state.
+//   - LossyTransport (lossy.go): the in-process cluster over a
+//     simulated unreliable link that a FaultPlan damages, made reliable
+//     by the protocol of reliable.go.
 //   - TCPTransport (tcp.go): a real network backend for multi-process
-//     clusters — one process per host, framed messages with per-channel
-//     sequence numbers, acks, retransmission, and re-dial over TCP.
+//     clusters — one process per host, the same protocol over real
+//     sockets, plus re-dial.
 //
 // Contract, shared by all backends (pinned by the conformance test in
 // transport_conformance_test.go):
@@ -98,18 +102,15 @@ type Streamer interface {
 	GatherFrom(exchange, to, from int) ([]byte, error)
 }
 
-// ChannelStats counts one directed channel's transport activity.
+// ChannelStats counts one directed channel's logical traffic.
 // Messages/Bytes are logical sync payloads (the paper-model volume the
 // dgalois Stats also track); Control counts empty-marker and all-reduce
-// records; Retries/RetryBytes and Redials are remote-backend recovery
-// work (always zero in-process).
+// records. Recovery work (retries, acks, redials) is the protocol's,
+// reported apart in LinkStats.
 type ChannelStats struct {
-	Messages   int64 `json:"messages"`
-	Bytes      int64 `json:"bytes"`
-	Control    int64 `json:"control"`
-	Retries    int64 `json:"retries"`
-	RetryBytes int64 `json:"retry_bytes"`
-	Redials    int64 `json:"redials"`
+	Messages int64 `json:"messages"`
+	Bytes    int64 `json:"bytes"`
+	Control  int64 `json:"control"`
 }
 
 // Add accumulates o into c.
@@ -117,9 +118,6 @@ func (c *ChannelStats) Add(o ChannelStats) {
 	c.Messages += o.Messages
 	c.Bytes += o.Bytes
 	c.Control += o.Control
-	c.Retries += o.Retries
-	c.RetryBytes += o.RetryBytes
-	c.Redials += o.Redials
 }
 
 // ReduceOp is the fold applied by Transport.AllReduce. The byte values
@@ -157,17 +155,19 @@ func (op ReduceOp) String() string {
 	return fmt.Sprintf("ReduceOp(%d)", byte(op))
 }
 
-// TransportError is the structured failure a remote backend raises when
-// an exchange or reduce cannot complete within its stall deadline (a
-// peer severed past recovery, or the transport was closed under it). It
-// is the transport-level analogue of the dgalois *FaultError, which the
+// TransportError is the structured failure a backend running the
+// reliable-delivery protocol raises when an exchange or reduce cannot
+// complete within its stall deadline (a peer severed, stalled, or
+// killed past recovery, or the transport was closed under it). It is
+// the transport-level analogue of the dgalois *FaultError, which the
 // cluster substrate converts it into at the exchange boundary — a dead
 // peer therefore surfaces as a structured error, never a hang.
 type TransportError struct {
 	Host     int    // implicated peer, -1 if none identified
 	Exchange int    // exchange index, -1 for reduces / lifecycle errors
 	Pending  int    // messages still missing when the deadline expired
-	Steps    int    // stall steps elapsed without progress
+	Steps    int    // steps elapsed when the deadline expired
+	Killed   bool   // the implicated host is dead (a FaultPlan kill), not slow
 	Reason   string // human-readable cause
 }
 
@@ -204,9 +204,9 @@ type MemTransport struct {
 
 // memSlot is one open exchange's preallocated inbox matrix. id is the
 // exchange identifier, -1 when free. A slot is released once every
-// receiver gathered (or the caller reclaimed the exchange); the inbox
-// cells are left in place — every remote channel is re-sent before the
-// next gather of a reusing exchange, and diagonal cells stay nil.
+// receiver gathered; the inbox cells are left in place — every remote
+// channel is re-sent before the next gather of a reusing exchange, and
+// diagonal cells stay nil.
 type memSlot struct {
 	id int
 	// inbox[to][from]: the exchange's buffer on each channel.
@@ -253,8 +253,8 @@ func NewMemTransportWindow(hosts, window int) *MemTransport {
 func (m *MemTransport) Window() int { return m.window }
 
 // slotFor returns the slot holding exchange, claiming a free one when
-// claim is set and the exchange has no slot yet.
-func (m *MemTransport) slotFor(exchange int, claim bool) *memSlot {
+// the exchange has no slot yet.
+func (m *MemTransport) slotFor(exchange int) *memSlot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var free *memSlot
@@ -266,9 +266,6 @@ func (m *MemTransport) slotFor(exchange int, claim bool) *memSlot {
 		if free == nil && s.id == -1 {
 			free = s
 		}
-	}
-	if !claim {
-		return nil
 	}
 	if free == nil {
 		panic(fmt.Sprintf("gluon: exchange %d exceeds the in-process window of %d open exchanges", exchange, m.window))
@@ -301,7 +298,7 @@ func (m *MemTransport) Backend() string { return "inproc" }
 // Gather of this exchange returns (the BSP barrier guarantees the
 // writer is not reused before then).
 func (m *MemTransport) Send(exchange, from, to int, buf []byte) error {
-	slot := m.slotFor(exchange, true)
+	slot := m.slotFor(exchange)
 	slot.inbox[to][from] = buf
 	s := &m.stats[from*m.hosts+to]
 	if len(buf) > 0 {
@@ -318,7 +315,7 @@ func (m *MemTransport) Send(exchange, from, to int, buf []byte) error {
 // already sequenced every Send before the first Gather. Once every
 // receiver gathered, the exchange's slot returns to the free pool.
 func (m *MemTransport) Gather(exchange, to int) ([][]byte, error) {
-	slot := m.slotFor(exchange, true)
+	slot := m.slotFor(exchange)
 	bufs := slot.inbox[to]
 	m.mu.Lock()
 	if !slot.gathered[to] {
@@ -330,32 +327,6 @@ func (m *MemTransport) Gather(exchange, to int) ([][]byte, error) {
 	}
 	m.mu.Unlock()
 	return bufs, nil
-}
-
-// Buffered returns the buffer held on the exchange's (from → to)
-// channel. The reliable (fault-plan) exchange path of internal/dgalois
-// uses it to pick up the packed payloads it frames and delivers through
-// its simulated lossy network; it pairs with Reclaim instead of Gather.
-func (m *MemTransport) Buffered(exchange, from, to int) []byte {
-	slot := m.slotFor(exchange, false)
-	if slot == nil {
-		return nil
-	}
-	return slot.inbox[to][from]
-}
-
-// Reclaim releases an exchange's buffer slot without gathering it, for
-// callers (the reliable exchange path) that consume the buffers through
-// Buffered instead.
-func (m *MemTransport) Reclaim(exchange int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.slots {
-		if s := &m.slots[i]; s.id == exchange {
-			s.releaseLocked()
-			return
-		}
-	}
 }
 
 // AllReduce folds one value per host across all hosts. Unlike Send and

@@ -12,9 +12,9 @@ import (
 
 // Conformance suite: every Transport backend must satisfy the contract
 // documented on the interface. The same scenario runs against the
-// in-process MemTransport and a real localhost TCP mesh, with one
-// driver goroutine per host (so -race checks the documented
-// concurrent-use guarantees).
+// in-process MemTransport, the in-process LossyTransport under a seeded
+// fault plan, and a real localhost TCP mesh, with one driver goroutine
+// per host (so -race checks the documented concurrent-use guarantees).
 
 // conformanceCluster abstracts "one Transport view per host": the
 // in-process backend is a single shared object, the TCP backend is one
@@ -236,6 +236,9 @@ func TestTransportConformance(t *testing.T) {
 		t.Run(fmt.Sprintf("inproc/%d", hosts), func(t *testing.T) {
 			runConformance(t, hosts, 12, memCluster(t, hosts))
 		})
+		t.Run(fmt.Sprintf("lossy/%d", hosts), func(t *testing.T) {
+			runConformance(t, hosts, 12, lossyCluster(hosts, RandomPlan(uint64(hosts), 0.2, hosts)))
+		})
 		t.Run(fmt.Sprintf("tcp/%d", hosts), func(t *testing.T) {
 			runConformance(t, hosts, 12, tcpCluster(t, hosts, TCPOptions{}))
 		})
@@ -243,10 +246,11 @@ func TestTransportConformance(t *testing.T) {
 }
 
 // TestTransportConformanceClose pins Close semantics: idempotent on
-// both backends.
+// every backend.
 func TestTransportConformanceClose(t *testing.T) {
 	for _, c := range []*conformanceCluster{
 		memCluster(t, 2),
+		lossyCluster(2, nil),
 		tcpCluster(t, 2, TCPOptions{}),
 	} {
 		tr := c.view(0)

@@ -57,11 +57,6 @@ type Options struct {
 	// Sync selects the schedule-consistency scheme; defaults to
 	// ArbitrationSync.
 	Sync SyncMode
-	// Fault routes every exchange through the framed ack/retry
-	// transport under the given plan (nil: perfect network). Use
-	// RunChecked to receive the structured error an unrecoverable
-	// plan produces.
-	Fault *dgalois.FaultPlan
 	// Encoding pins the sync-metadata wire format (default
 	// gluon.FormatAuto: density-adaptive selection per message).
 	// gluon.FormatDense reproduces the seed's dense-bitvector volume
@@ -81,7 +76,8 @@ type Options struct {
 	// automatic). Trace content is independent of this value.
 	Workers int
 	// Transport overrides the cluster's byte-moving backend (nil: the
-	// in-process simulated network). A remote backend (gluon.TCPTransport)
+	// in-process perfect network; gluon.LossyTransport: in process over a
+	// faulty link). A remote backend (gluon.TCPTransport)
 	// runs this process as one host of a multi-process SPMD cluster:
 	// every process executes the same batch loop, engine state exists
 	// only for the local host, termination decisions go through the
@@ -224,8 +220,9 @@ const maxBatch = 1 << 20
 
 // Run computes BC restricted to sources over the partitioned graph
 // using batched Min-Rounds BC, returning global scores and cluster
-// statistics. With an unrecoverable Options.Fault plan it panics; use
-// RunChecked when a fault plan may fail the run.
+// statistics. When the transport fails an exchange (a lossy link under
+// an unrecoverable fault plan, a dead TCP peer) it panics; use
+// RunChecked when the network may fail the run.
 func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats) {
 	scores, stats, err := RunChecked(g, pt, sources, opts)
 	if err != nil {
@@ -235,9 +232,10 @@ func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Opti
 }
 
 // RunChecked is Run returning the transport's structured error when an
-// exchange under Options.Fault exceeds its deadline (e.g. a host
+// exchange exceeds its deadline (e.g. a host of a gluon.LossyTransport
 // stalled past it). Every recoverable fault schedule yields err == nil
-// and oracle-exact scores; on error the partial scores are meaningless.
+// and scores bitwise equal to the perfect network's; on error the
+// partial scores are meaningless.
 func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats, error) {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
@@ -252,7 +250,6 @@ func RunChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, op
 	}
 	topo := gluon.NewTopology(pt)
 	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
-		Plan:        opts.Fault,
 		Trace:       opts.Trace,
 		Metrics:     opts.Metrics,
 		Workers:     opts.Workers,
@@ -543,8 +540,8 @@ func runBatch(cluster *dgalois.Cluster, topo *gluon.Topology, pt *partition.Part
 	prog.round.Set(0)
 	prog.backward.Set(0)
 	states := makeStates(cluster, pt, batch, opts)
-	// Worker pools must not leak even when a fault plan panics the run
-	// out of the batch loop.
+	// Worker pools must not leak even when a transport failure panics the
+	// run out of the batch loop.
 	defer closeRunners(states)
 
 	// ---- Forward phase (Algorithm 3 as BSP rounds). ----

@@ -37,8 +37,7 @@ package mrbcdist
 // Exchange identifiers come from per-batch streams
 // (dgalois.SetStream), so concurrently-open exchanges of different
 // batches occupy disjoint identifier spaces on the wire and in
-// transport buffers, and the reliable transport's seq/ack machinery
-// stays per-stream.
+// transport buffers.
 
 import (
 	"sync"
@@ -230,10 +229,7 @@ func (b *pipeBatch) take() {
 
 // await is the software-pipelining step: hand the turn to the next
 // batch while the detached exchange's bytes are on the wire, complete
-// the exchange when the turn returns. Under a fault plan the exchange
-// already ran synchronously inside BeginExchange (Complete is a no-op)
-// but the turn still rotates, so the global operation order stays the
-// same deterministic function of the batch schedule.
+// the exchange when the turn returns.
 func (b *pipeBatch) await(p *dgalois.PendingExchange) {
 	b.r.t.yield()
 	b.take()
@@ -251,9 +247,9 @@ func (b *pipeBatch) run() {
 	b.take()
 	r.prog.batch.Set(int64(b.bi))
 	b.states = makeStates(cluster, r.pt, b.batch, opts)
-	// Worker pools must not leak when a fault plan panics the batch out
-	// of its rounds; after finish() stashes the batch, retirement owns
-	// them.
+	// Worker pools must not leak when a transport failure panics the
+	// batch out of its rounds; after finish() stashes the batch,
+	// retirement owns them.
 	defer func() {
 		if !b.stashed {
 			closeRunners(b.states)

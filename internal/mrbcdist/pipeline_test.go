@@ -248,28 +248,35 @@ func TestPipelineTCPSPMD(t *testing.T) {
 	}
 }
 
-// TestPipelineUnderFaultPlans drives the depth-2 runner through seeded
-// recoverable fault schedules: retransmission and ack machinery must
-// interleave correctly with the pipelined exchange streams, and scores
-// must stay oracle-exact.
+// TestPipelineUnderFaultPlans drives the depth-2 runner over the lossy
+// link through seeded recoverable fault schedules: detached exchanges
+// whose records interleave on the link must still deliver in order,
+// and scores must stay bitwise equal to the serial perfect-network run.
 func TestPipelineUnderFaultPlans(t *testing.T) {
 	g := gen.RMAT(6, 8, 42)
 	pt := partition.EdgeCut(g, 4)
 	sources := brandes.FirstKSources(g, 0, 16)
 	oracle := brandes.Sequential(g, sources)
+	serial, _ := Run(g, pt, sources, Options{BatchSize: 8})
 
 	seeds := 12
 	if testing.Short() {
 		seeds = 4
 	}
 	for seed := 0; seed < seeds; seed++ {
-		plan := dgalois.RandomPlan(uint64(seed), 0.20, pt.NumHosts)
-		got, stats, err := RunChecked(g, pt, sources, Options{BatchSize: 8, PipelineDepth: 2, Fault: plan})
+		link := gluon.NewLossyTransport(pt.NumHosts, gluon.RandomPlan(uint64(seed), 0.20, pt.NumHosts))
+		got, stats, err := RunChecked(g, pt, sources, Options{BatchSize: 8, PipelineDepth: 2, Transport: link})
 		if err != nil {
 			t.Fatalf("seed %d: recoverable plan errored: %v", seed, err)
 		}
 		if !approxEqual(got, oracle, 1e-9) {
 			t.Fatalf("seed %d: pipelined scores diverged from oracle under faults", seed)
+		}
+		for v := range got {
+			if math.Float64bits(got[v]) != math.Float64bits(serial[v]) {
+				t.Fatalf("seed %d: vertex %d: faulty depth-2 score %x != serial perfect-network score %x",
+					seed, v, math.Float64bits(got[v]), math.Float64bits(serial[v]))
+			}
 		}
 		if stats.Faults == nil {
 			t.Fatalf("seed %d: stats carry no fault accounting", seed)
@@ -285,14 +292,15 @@ func TestPipelineUnrecoverableFaultErrors(t *testing.T) {
 	g := gen.RoadGrid(5, 5, 1)
 	pt := partition.EdgeCut(g, 4)
 	sources := brandes.FirstKSources(g, 0, 8)
-	plan := &dgalois.FaultPlan{
+	plan := &gluon.FaultPlan{
 		Seed:          1,
 		DeadlineSteps: 16,
-		Stalls:        []dgalois.Stall{{Host: 1, Exchange: 2, Steps: -1}},
+		Stalls:        []gluon.Stall{{Host: 1, Exchange: 2, Steps: -1}},
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := RunChecked(g, pt, sources, Options{BatchSize: 4, PipelineDepth: 2, Fault: plan})
+		link := gluon.NewLossyTransport(pt.NumHosts, plan)
+		_, _, err := RunChecked(g, pt, sources, Options{BatchSize: 4, PipelineDepth: 2, Transport: link})
 		done <- err
 	}()
 	select {

@@ -44,11 +44,6 @@ type Options struct {
 	// Alpha is the push->pull switch threshold (default 4): pull when
 	// frontierOutEdges*Alpha > unvisitedInEdges.
 	Alpha int
-	// Fault routes every exchange through the framed ack/retry
-	// transport under the given plan (nil: perfect network). Use
-	// RunOptsChecked to receive the structured error an unrecoverable
-	// plan produces.
-	Fault *dgalois.FaultPlan
 	// Encoding pins the sync-metadata wire format (default
 	// gluon.FormatAuto: density-adaptive selection per message).
 	Encoding gluon.Format
@@ -66,7 +61,8 @@ type Options struct {
 	// automatic). Trace content is independent of this value.
 	Workers int
 	// Transport overrides the cluster's byte-moving backend (nil: the
-	// in-process simulated network). A remote backend runs this process
+	// in-process perfect network; gluon.LossyTransport: in process over a
+	// faulty link). A remote backend runs this process
 	// as one host of a multi-process SPMD cluster: engine state exists
 	// only for the local host, termination goes through the transport's
 	// all-reduce, and the returned scores hold only the local host's
@@ -105,9 +101,9 @@ func Run(g *graph.Graph, pt *partition.Partitioning, sources []uint32) ([]float6
 	return RunOpts(g, pt, sources, Options{})
 }
 
-// RunOpts is Run with explicit options. With an unrecoverable
-// Options.Fault plan it panics; use RunOptsChecked when a fault plan
-// may fail the run.
+// RunOpts is Run with explicit options. When the transport fails an
+// exchange it panics; use RunOptsChecked when the network may fail the
+// run.
 func RunOpts(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats) {
 	scores, stats, err := RunOptsChecked(g, pt, sources, opts)
 	if err != nil {
@@ -117,9 +113,9 @@ func RunOpts(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts 
 }
 
 // RunOptsChecked is RunOpts returning the transport's structured error
-// when an exchange under Options.Fault exceeds its deadline. Every
-// recoverable fault schedule yields err == nil and oracle-exact scores;
-// on error the partial scores are meaningless.
+// when an exchange exceeds its deadline. Every recoverable fault
+// schedule yields err == nil and scores bitwise equal to the perfect
+// network's; on error the partial scores are meaningless.
 func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32, opts Options) ([]float64, dgalois.Stats, error) {
 	opts = opts.withDefaults()
 	n := g.NumVertices()
@@ -130,7 +126,6 @@ func RunOptsChecked(g *graph.Graph, pt *partition.Partitioning, sources []uint32
 	}
 	topo := gluon.NewTopology(pt)
 	cluster := dgalois.NewClusterOpts(pt.NumHosts, dgalois.ClusterOptions{
-		Plan:      opts.Fault,
 		Trace:     opts.Trace,
 		Metrics:   opts.Metrics,
 		Workers:   opts.Workers,

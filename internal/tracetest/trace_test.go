@@ -8,8 +8,8 @@ import (
 	"testing"
 
 	"mrbc/internal/brandes"
-	"mrbc/internal/dgalois"
 	"mrbc/internal/gen"
+	"mrbc/internal/gluon"
 	"mrbc/internal/graph"
 	"mrbc/internal/mrbcdist"
 	"mrbc/internal/obs"
@@ -47,14 +47,14 @@ func requireComplete(t *testing.T, tr *obs.Trace) []obs.Event {
 // and returns the recorded events.
 type tracedEngine struct {
 	name string
-	run  func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int)
+	run  func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *gluon.FaultPlan, workers int)
 }
 
-func mrbcRunner(sync mrbcdist.SyncMode, batch int) func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
-	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
+func mrbcRunner(sync mrbcdist.SyncMode, batch int) func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *gluon.FaultPlan, workers int) {
+	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *gluon.FaultPlan, workers int) {
 		t.Helper()
 		_, _, err := mrbcdist.RunChecked(g, pt, sources, mrbcdist.Options{
-			BatchSize: batch, Sync: sync, Fault: plan, Trace: tr, Workers: workers,
+			BatchSize: batch, Sync: sync, Transport: lossy(pt, plan), Trace: tr, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -62,11 +62,20 @@ func mrbcRunner(sync mrbcdist.SyncMode, batch int) func(t *testing.T, g *graph.G
 	}
 }
 
-func sbbcRunner() func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
-	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *dgalois.FaultPlan, workers int) {
+// lossy returns the in-process lossy link under the plan, or nil (the
+// perfect-network MemTransport) for a nil plan.
+func lossy(pt *partition.Partitioning, plan *gluon.FaultPlan) gluon.Transport {
+	if plan == nil {
+		return nil
+	}
+	return gluon.NewLossyTransport(pt.NumHosts, plan)
+}
+
+func sbbcRunner() func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *gluon.FaultPlan, workers int) {
+	return func(t *testing.T, g *graph.Graph, pt *partition.Partitioning, sources []uint32, tr *obs.Trace, plan *gluon.FaultPlan, workers int) {
 		t.Helper()
 		_, _, err := sbbc.RunOptsChecked(g, pt, sources, sbbc.Options{
-			Fault: plan, Trace: tr, Workers: workers,
+			Transport: lossy(pt, plan), Trace: tr, Workers: workers,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -127,7 +136,7 @@ func TestBackwardReversalSymmetry(t *testing.T) {
 
 // goldenEvents produces the canonical reference trace: a fixed small
 // graph through the arbitration-mode engine.
-func goldenEvents(t *testing.T, workers int, plan *dgalois.FaultPlan) []obs.Event {
+func goldenEvents(t *testing.T, workers int, plan *gluon.FaultPlan) []obs.Event {
 	t.Helper()
 	g := gen.RMAT(5, 8, 3)
 	pt := partition.CartesianCut(g, 2)
@@ -178,7 +187,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 // transport events) must stay byte-identical to the fault-free run.
 func TestFaultPlanPreservesModelStream(t *testing.T) {
 	clean := goldenEvents(t, 0, nil)
-	plan := dgalois.RandomPlan(11, 0.2, 2)
+	plan := gluon.RandomPlan(11, 0.2, 2)
 	faulty := goldenEvents(t, 0, plan)
 	transports := 0
 	for _, e := range faulty {
